@@ -27,16 +27,18 @@
 //! cargo run --release --bin simbench                    # full run -> BENCH_simnet.json
 //! cargo run --release --bin simbench -- --smoke --out /tmp/b.json --check BENCH_simnet.json
 //! cargo run --release --bin simbench -- --determinism-check --jobs 8
+//! cargo run --release --bin simbench -- --scale-check
 //! ```
 //!
 //! Flags: `--smoke` (≈10% of the events, same queue depths), `--out
 //! <path>`, `--check <baseline.json>` (exit 1 on >20% events/sec
 //! regression), `--determinism-check` (same-seed byte-identity at
-//! `--jobs 1` vs `--jobs N`, then exit), `--profile` (per-handler
-//! profile of every proto config → `results/profile_protos.json` +
-//! `.folded`, then exit; see `docs/PROFILING.md`), `--jobs <n>`,
-//! `--in-process`. `--one <name> --queue <heap|wheel>` is the internal
-//! subprocess mode.
+//! `--jobs 1` vs `--jobs N`, then exit), `--scale-check` (exit 1 when
+//! per-event cost grows with run length, then exit), `--profile`
+//! (per-handler profile of every proto config →
+//! `results/profile_protos.json` + `.folded`, then exit; see
+//! `docs/PROFILING.md`), `--jobs <n>`, `--in-process`. `--one <name>
+//! --queue <heap|wheel>` is the internal subprocess mode.
 
 use bench::{print_table, results_dir, save_json};
 use obs::{FoldWeight, Recorder};
@@ -175,18 +177,25 @@ fn run_storm(nodes: usize, inflight: usize, hops: u64, queue: QueueKind) -> (u64
     (events, elapsed_ns)
 }
 
+/// The proto rows' workload: the fuzzer's, denser (more sessions and
+/// ops, shorter think time) so steady-state traffic dominates a run.
+fn proto_workload(ops_per_session: u32) -> workload::WorkloadSpec {
+    workload::WorkloadSpec {
+        sessions: 8,
+        ops_per_session,
+        arrival: workload::Arrival::Closed { think_us: 2_000 },
+        ..fuzz_workload()
+    }
+}
+
 /// Run one protocol config: the fuzz harness deployment for `scheme`
 /// under its seed-42 medium nemesis, with a denser workload than the
 /// fuzzer's (more sessions/ops, shorter think time) so the measured
 /// window is dominated by steady-state traffic.
 fn run_proto(scheme: FuzzScheme, queue: QueueKind, smoke: bool) -> (u64, u64) {
     let case = generate_case(scheme, 42, &IntensityProfile::medium());
-    let mut workload = fuzz_workload();
-    workload.sessions = 8;
-    workload.ops_per_session = if smoke { 40 } else { 400 };
-    workload.arrival = workload::Arrival::Closed { think_us: 2_000 };
     let experiment = Experiment::new(scheme.to_scheme())
-        .workload(workload)
+        .workload(proto_workload(if smoke { 40 } else { 400 }))
         .latency(LatencyModel::lan())
         .faults(nemesis::to_schedule(&case.events))
         .seed(42)
@@ -196,6 +205,110 @@ fn run_proto(scheme: FuzzScheme, queue: QueueKind, smoke: bool) -> (u64, u64) {
     let result = experiment.run();
     let elapsed_ns = start.elapsed().as_nanos() as u64;
     (result.events, elapsed_ns)
+}
+
+/// Run lengths (ops per session) the scale check compares.
+const SCALE_OPS: [u32; 2] = [400, 4_000];
+
+/// Rows the scale check covers, as `(scheme, recorder on)`: the
+/// read-heavy client paths and the full-state CRDT gossip path with the
+/// recorder off, plus quorum with it on, which runs the read-staleness
+/// telemetry on every ok read.
+const SCALE_ROWS: [(FuzzScheme, bool); 5] = [
+    (FuzzScheme::MajorityQuorum, false),
+    (FuzzScheme::PrimarySync, false),
+    (FuzzScheme::Causal, false),
+    (FuzzScheme::MultiMasterCrdt, false),
+    (FuzzScheme::MajorityQuorum, true),
+];
+
+/// Largest allowed ratio of median ns/event at the long run length to
+/// the short one (docs/PERFORMANCE.md, "Scale check").
+const SCALE_BOUND: f64 = 1.5;
+
+/// Timed samples per `(scheme, length)`; the median is compared. A
+/// short sample runs `SCALE_OPS[1] / SCALE_OPS[0]` experiments back to
+/// back, so both lengths time the same number of ops and a short
+/// sample is not a few milliseconds exposed to machine noise.
+const SCALE_REPS: usize = 7;
+
+/// One fault-free proto run of `ops_per_session` ops per session, with
+/// a counters-only recorder when `recorder` is set; returns `(events,
+/// elapsed_ns)`. The horizon grows with the run so every op completes
+/// and the idle tail stays the same share of the run at both lengths.
+fn run_scale(scheme: FuzzScheme, recorder: bool, ops_per_session: u32) -> (u64, u64) {
+    let experiment = Experiment::new(scheme.to_scheme())
+        .workload(proto_workload(ops_per_session))
+        .latency(LatencyModel::lan())
+        .seed(42)
+        .horizon(SimTime::from_millis(5 * ops_per_session as u64))
+        .recorder(if recorder { Recorder::enabled() } else { Recorder::disabled() });
+    let start = Instant::now();
+    let result = experiment.run();
+    let elapsed_ns = start.elapsed().as_nanos() as u64;
+    (result.events, elapsed_ns)
+}
+
+/// `--scale-check` mode: the guard against O(history) work per event.
+/// Runs every `scale/<scheme>` row at both lengths of [`SCALE_OPS`],
+/// alternating lengths so machine drift hits both alike, and fails when
+/// the median ns/event at the long length exceeds [`SCALE_BOUND`] times
+/// that at the short one.
+fn scale_check() -> bool {
+    let mut ok = true;
+    let mut table = Vec::new();
+    for (scheme, recorder) in SCALE_ROWS {
+        let mut ns_per_event = [Vec::new(), Vec::new()];
+        let mut events = [0u64; 2];
+        for _ in 0..SCALE_REPS {
+            for (i, &ops) in SCALE_OPS.iter().enumerate() {
+                let (mut total_ev, mut total_ns) = (0u64, 0u64);
+                for _ in 0..SCALE_OPS[1] / ops {
+                    let (ev, ns) = run_scale(scheme, recorder, ops);
+                    events[i] = ev;
+                    total_ev += ev;
+                    total_ns += ns;
+                }
+                ns_per_event[i].push(total_ns as f64 / total_ev.max(1) as f64);
+            }
+        }
+        let [short, long] = ns_per_event.map(|mut v| {
+            v.sort_by(f64::total_cmp);
+            v[v.len() / 2]
+        });
+        let ratio = long / short;
+        let pass = ratio <= SCALE_BOUND;
+        ok &= pass;
+        table.push(vec![
+            format!("scale/{}{}", scheme.label(), if recorder { "+recorder" } else { "" }),
+            events[0].to_string(),
+            format!("{short:.1}"),
+            events[1].to_string(),
+            format!("{long:.1}"),
+            format!("{ratio:.2}"),
+            if pass { "ok" } else { "FAIL" }.to_string(),
+        ]);
+    }
+    let [a, b] = SCALE_OPS;
+    print_table(
+        "simbench scale check",
+        &[
+            "config",
+            &format!("events@{a}"),
+            &format!("ns/event@{a}"),
+            &format!("events@{b}"),
+            &format!("ns/event@{b}"),
+            "ratio",
+            "verdict",
+        ],
+        &table,
+    );
+    if ok {
+        println!("scale-check: PASS (every ns/event ratio <= {SCALE_BOUND})");
+    } else {
+        eprintln!("scale-check: FAIL — per-event cost grows with run length (bound {SCALE_BOUND})");
+    }
+    ok
 }
 
 /// Peak RSS of this process in bytes (`VmHWM` from `/proc/self/status`);
@@ -296,14 +409,10 @@ fn profile_protos(jobs: usize, smoke: bool) {
     let mut grid = Grid::new();
     for scheme in FuzzScheme::ALL {
         let case = generate_case(scheme, 42, &IntensityProfile::medium());
-        let mut workload = fuzz_workload();
-        workload.sessions = 8;
-        workload.ops_per_session = if smoke { 40 } else { 400 };
-        workload.arrival = workload::Arrival::Closed { think_us: 2_000 };
         grid.push(
             scheme.label(),
             Experiment::new(scheme.to_scheme())
-                .workload(workload)
+                .workload(proto_workload(if smoke { 40 } else { 400 }))
                 .latency(LatencyModel::lan())
                 .faults(nemesis::to_schedule(&case.events))
                 .seed(42)
@@ -482,6 +591,7 @@ struct Args {
     smoke: bool,
     in_process: bool,
     determinism: bool,
+    scale: bool,
     profile: bool,
     jobs: usize,
     out: String,
@@ -495,6 +605,7 @@ fn parse_args() -> Args {
         smoke: false,
         in_process: false,
         determinism: false,
+        scale: false,
         profile: false,
         jobs: 8,
         out: "BENCH_simnet.json".to_string(),
@@ -517,6 +628,8 @@ fn parse_args() -> Args {
             args.in_process = true;
         } else if a == "--determinism-check" {
             args.determinism = true;
+        } else if a == "--scale-check" {
+            args.scale = true;
         } else if a == "--profile" {
             args.profile = true;
         } else if let Some(n) = take(&a, "--jobs", &mut it) {
@@ -554,6 +667,10 @@ fn main() {
 
     if args.determinism {
         std::process::exit(if determinism_check(args.jobs) { 0 } else { 1 });
+    }
+
+    if args.scale {
+        std::process::exit(if scale_check() { 0 } else { 1 });
     }
 
     if args.profile {

@@ -249,8 +249,10 @@ impl Experiment {
             }
         };
 
-        let mut trace = trace.borrow().clone();
-        trace.sort_by_completion();
+        // Sorting also drops the write index the staleness telemetry
+        // built, so the copy kept in the result carries records only.
+        trace.borrow_mut().sort_by_completion();
+        let trace = trace.borrow().clone();
         RunResult {
             trace,
             delivered_messages: delivered,

@@ -149,6 +149,19 @@ pub struct ClientCore {
 const TAG_ISSUE: u64 = u64::MAX;
 const TAG_TIMEOUT_BASE: u64 = u64::MAX / 2;
 
+#[cfg(debug_assertions)]
+thread_local! {
+    static OP_COMPLETE_EVENTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many `OpComplete` events client sessions have built on this
+/// thread (debug builds only). Tests use it to prove that the event is
+/// skipped when the recorder is off.
+#[cfg(debug_assertions)]
+pub fn op_complete_events() -> u64 {
+    OP_COMPLETE_EVENTS.with(|c| c.get())
+}
+
 impl ClientCore {
     /// Create a session that will replay `script`.
     pub fn new(session: u64, script: Vec<ScriptOp>, trace: SharedTrace, timeout: Duration) -> Self {
@@ -281,11 +294,12 @@ impl ClientCore {
                     p.span,
                     if outcome.ok { SpanStatus::Ok } else { SpanStatus::Failed },
                 );
-                if outcome.ok && p.kind == OpKind::Read {
+                if outcome.ok && p.kind == OpKind::Read && ctx.recorder().is_enabled() {
                     // Windowed consistency telemetry: how many acknowledged
                     // writes the read missed, and how far behind it ran.
+                    // Sampled only when a recorder will keep the samples.
                     let (missed, lag_us) =
-                        self.trace.borrow().read_staleness(p.key, p.invoked, &outcome.values);
+                        self.trace.borrow_mut().read_staleness(p.key, p.invoked, &outcome.values);
                     let now_us = ctx.now().as_micros();
                     ctx.recorder().sample(now_us, TsMetric::StalenessVersions, missed);
                     ctx.recorder().sample(now_us, TsMetric::VisibilityLagUs, lag_us);
@@ -303,26 +317,31 @@ impl ClientCore {
         let p = self.pending.take().expect("record without pending op");
         // Mirror the trace row into the event stream so online monitors
         // (the streaming consistency checkers) can observe completions
-        // without access to the in-process SharedTrace.
-        ctx.recorder().record(
-            now.as_micros(),
-            obs::EventKind::OpComplete {
-                session: self.session,
-                op: p.op_id,
-                key: p.key,
-                kind: match p.kind {
-                    OpKind::Read => obs::ClientOpKind::Read,
-                    OpKind::Write => obs::ClientOpKind::Write,
+        // without access to the in-process SharedTrace. Built only when a
+        // recorder will keep it: the event clones the read's values.
+        if ctx.recorder().is_enabled() {
+            #[cfg(debug_assertions)]
+            OP_COMPLETE_EVENTS.with(|c| c.set(c.get() + 1));
+            ctx.recorder().record(
+                now.as_micros(),
+                obs::EventKind::OpComplete {
+                    session: self.session,
+                    op: p.op_id,
+                    key: p.key,
+                    kind: match p.kind {
+                        OpKind::Read => obs::ClientOpKind::Read,
+                        OpKind::Write => obs::ClientOpKind::Write,
+                    },
+                    ok: outcome.ok,
+                    invoked_us: p.invoked.as_micros(),
+                    replica: p.replica.0 as u64,
+                    value: p.value,
+                    values: outcome.values.clone(),
+                    stamp: outcome.stamp,
+                    version_ts_us: outcome.version_ts.map(|t| t.as_micros()),
                 },
-                ok: outcome.ok,
-                invoked_us: p.invoked.as_micros(),
-                replica: p.replica.0 as u64,
-                value: p.value,
-                values: outcome.values.clone(),
-                stamp: outcome.stamp,
-                version_ts_us: outcome.version_ts.map(|t| t.as_micros()),
-            },
-        );
+            );
+        }
         self.trace.borrow_mut().push(OpRecord {
             session: self.session,
             op_id: p.op_id,

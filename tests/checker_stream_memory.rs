@@ -13,11 +13,15 @@ use std::process::Command;
 #[test]
 fn streaming_checker_memory_stays_flat_across_10x_trace_growth() {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
-    let build = Command::new(&cargo)
-        .args(["build", "-p", "bench", "--bin", "checkerbench"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .status()
-        .expect("spawn cargo build");
+    let mut build = Command::new(&cargo);
+    build.args(["build", "-p", "bench", "--bin", "checkerbench"]);
+    // Build in the test binary's own profile, so the binary run below
+    // is the one just built (a release test must not run a stale or
+    // missing release checkerbench).
+    if !cfg!(debug_assertions) {
+        build.arg("--release");
+    }
+    let build = build.current_dir(env!("CARGO_MANIFEST_DIR")).status().expect("spawn cargo build");
     assert!(build.success(), "checkerbench failed to build");
 
     // The test binary lives in target/<profile>/deps/; checkerbench was

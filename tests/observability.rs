@@ -8,6 +8,9 @@
 //!    random loss: `messages_sent == messages_delivered +
 //!    messages_dropped`; likewise every span opens and closes exactly
 //!    once (`abandoned` closes mark spans the run cut short).
+//! 3. **Free when off** — with the recorder disabled, the per-read
+//!    staleness telemetry and the `OpComplete` event are never computed
+//!    (debug-build call counters).
 //!
 //! Plus the doc-sync guards: the counter and time-series tables in
 //! `docs/METRICS.md` must list exactly what the code exports.
@@ -187,6 +190,39 @@ fn span_conservation_holds_across_schemes_under_faults() {
         assert_eq!(metrics.counter(Counter::SpansAbandoned), report.abandoned, "{label}");
         assert!(report.abandoned <= report.closed, "{label}");
     }
+}
+
+/// Run the fault-free quorum workload under `recorder` and return how
+/// many staleness computations and `OpComplete` events it cost, with
+/// the run's result.
+#[cfg(debug_assertions)]
+fn telemetry_calls(recorder: Recorder) -> (u64, u64, RunResult) {
+    use rethinking_ec::replication::common::op_complete_events;
+    use rethinking_ec::simnet::optrace::staleness_calls;
+    let (staleness, events) = (staleness_calls(), op_complete_events());
+    let result = Experiment::new(Scheme::quorum(3, 2, 2))
+        .workload(workload())
+        .seed(5)
+        .horizon(SimTime::from_secs(30))
+        .recorder(recorder)
+        .run();
+    (staleness_calls() - staleness, op_complete_events() - events, result)
+}
+
+#[cfg(debug_assertions)]
+#[test]
+fn read_telemetry_is_free_when_the_recorder_is_off() {
+    let (staleness, events, result) = telemetry_calls(Recorder::disabled());
+    assert!(result.trace.len() > 100, "the workload ran");
+    assert_eq!(staleness, 0, "staleness computed with the recorder off");
+    assert_eq!(events, 0, "OpComplete built with the recorder off");
+
+    let (staleness, events, result) = telemetry_calls(Recorder::enabled());
+    let ok_reads =
+        result.trace.successful().filter(|r| r.kind == rethinking_ec::simnet::OpKind::Read).count();
+    assert!(ok_reads > 0);
+    assert_eq!(staleness, ok_reads as u64, "one staleness computation per ok read");
+    assert_eq!(events, result.trace.len() as u64, "one OpComplete per trace row");
 }
 
 /// Extract the names from the markdown table rows (`| \`name\` | ...`)

@@ -130,9 +130,32 @@ fn user_docs_reference_simbench_with_real_flags() {
 #[test]
 fn simbench_source_accepts_the_documented_flags() {
     let source = include_str!("../crates/bench/src/bin/simbench.rs");
-    for flag in ["--smoke", "--out", "--check", "--determinism-check", "--jobs", "--in-process"] {
+    for flag in [
+        "--smoke",
+        "--out",
+        "--check",
+        "--determinism-check",
+        "--scale-check",
+        "--jobs",
+        "--in-process",
+    ] {
         assert!(source.contains(&format!("\"{flag}\"")), "simbench lost its `{flag}` flag");
     }
+}
+
+/// The quadratic-regression guard must be documented and run in CI's
+/// simbench job.
+#[test]
+fn scale_check_is_documented_and_gated_in_ci() {
+    assert!(DOC.contains("\n## Scale check"), "docs/PERFORMANCE.md lost its `Scale check` section");
+    assert!(DOC.contains("--scale-check"), "docs/PERFORMANCE.md must document `--scale-check`");
+    let ci = include_str!("../.github/workflows/ci.yml");
+    let job = ci.split("simbench-smoke:").nth(1).expect("ci.yml lost the simbench-smoke job");
+    let job = job.split("\n  prof-smoke:").next().unwrap();
+    assert!(
+        job.contains("simbench --scale-check"),
+        "the simbench-smoke job must run the scale check"
+    );
 }
 
 /// The Phase 2 (data-plane) section must exist, carry the before/after
