@@ -210,17 +210,48 @@ fn run_proto(scheme: FuzzScheme, queue: QueueKind, smoke: bool) -> (u64, u64) {
 /// Run lengths (ops per session) the scale check compares.
 const SCALE_OPS: [u32; 2] = [400, 4_000];
 
-/// Rows the scale check covers, as `(scheme, recorder on)`: the
-/// read-heavy client paths and the full-state CRDT gossip path with the
-/// recorder off, plus quorum with it on, which runs the read-staleness
-/// telemetry on every ok read.
-const SCALE_ROWS: [(FuzzScheme, bool); 5] = [
-    (FuzzScheme::MajorityQuorum, false),
-    (FuzzScheme::PrimarySync, false),
-    (FuzzScheme::Causal, false),
-    (FuzzScheme::MultiMasterCrdt, false),
-    (FuzzScheme::MajorityQuorum, true),
+/// One `scale/<scheme>` row of the scale check.
+#[derive(Debug, Clone, Copy)]
+struct ScaleRow {
+    scheme: FuzzScheme,
+    /// Run with a counters-only recorder.
+    recorder: bool,
+    /// Spread the workload over [`WIDE_KEYS`] keys instead of the fuzz
+    /// workload's 8.
+    wide: bool,
+}
+
+impl ScaleRow {
+    const fn new(scheme: FuzzScheme, recorder: bool, wide: bool) -> Self {
+        ScaleRow { scheme, recorder, wide }
+    }
+
+    fn label(&self) -> String {
+        format!(
+            "scale/{}{}{}",
+            self.scheme.label(),
+            if self.recorder { "+recorder" } else { "" },
+            if self.wide { "+wide" } else { "" }
+        )
+    }
+}
+
+/// Rows the scale check covers: the read-heavy client paths and the
+/// CRDT gossip path with the recorder off; quorum with it on, which runs
+/// the read-staleness telemetry on every ok read; and CRDT gossip over
+/// [`WIDE_KEYS`] keys, where the keys a replica holds grow with the run,
+/// so gossip work that scales with keys held shows as growth.
+const SCALE_ROWS: [ScaleRow; 6] = [
+    ScaleRow::new(FuzzScheme::MajorityQuorum, false, false),
+    ScaleRow::new(FuzzScheme::PrimarySync, false, false),
+    ScaleRow::new(FuzzScheme::Causal, false, false),
+    ScaleRow::new(FuzzScheme::MultiMasterCrdt, false, false),
+    ScaleRow::new(FuzzScheme::MajorityQuorum, true, false),
+    ScaleRow::new(FuzzScheme::MultiMasterCrdt, false, true),
 ];
+
+/// Uniform key-space size of the `+wide` scale rows.
+const WIDE_KEYS: u64 = 10_000;
 
 /// Largest allowed ratio of median ns/event at the long run length to
 /// the short one (docs/PERFORMANCE.md, "Scale check").
@@ -232,17 +263,21 @@ const SCALE_BOUND: f64 = 1.5;
 /// sample is not a few milliseconds exposed to machine noise.
 const SCALE_REPS: usize = 7;
 
-/// One fault-free proto run of `ops_per_session` ops per session, with
-/// a counters-only recorder when `recorder` is set; returns `(events,
-/// elapsed_ns)`. The horizon grows with the run so every op completes
-/// and the idle tail stays the same share of the run at both lengths.
-fn run_scale(scheme: FuzzScheme, recorder: bool, ops_per_session: u32) -> (u64, u64) {
-    let experiment = Experiment::new(scheme.to_scheme())
-        .workload(proto_workload(ops_per_session))
+/// One fault-free proto run of `row` at `ops_per_session` ops per
+/// session; returns `(events, elapsed_ns)`. The horizon grows with the
+/// run so every op completes and the idle tail stays the same share of
+/// the run at both lengths.
+fn run_scale(row: ScaleRow, ops_per_session: u32) -> (u64, u64) {
+    let mut workload = proto_workload(ops_per_session);
+    if row.wide {
+        workload.keys = WIDE_KEYS;
+    }
+    let experiment = Experiment::new(row.scheme.to_scheme())
+        .workload(workload)
         .latency(LatencyModel::lan())
         .seed(42)
         .horizon(SimTime::from_millis(5 * ops_per_session as u64))
-        .recorder(if recorder { Recorder::enabled() } else { Recorder::disabled() });
+        .recorder(if row.recorder { Recorder::enabled() } else { Recorder::disabled() });
     let start = Instant::now();
     let result = experiment.run();
     let elapsed_ns = start.elapsed().as_nanos() as u64;
@@ -257,14 +292,14 @@ fn run_scale(scheme: FuzzScheme, recorder: bool, ops_per_session: u32) -> (u64, 
 fn scale_check() -> bool {
     let mut ok = true;
     let mut table = Vec::new();
-    for (scheme, recorder) in SCALE_ROWS {
+    for row in SCALE_ROWS {
         let mut ns_per_event = [Vec::new(), Vec::new()];
         let mut events = [0u64; 2];
         for _ in 0..SCALE_REPS {
             for (i, &ops) in SCALE_OPS.iter().enumerate() {
                 let (mut total_ev, mut total_ns) = (0u64, 0u64);
                 for _ in 0..SCALE_OPS[1] / ops {
-                    let (ev, ns) = run_scale(scheme, recorder, ops);
+                    let (ev, ns) = run_scale(row, ops);
                     events[i] = ev;
                     total_ev += ev;
                     total_ns += ns;
@@ -280,7 +315,7 @@ fn scale_check() -> bool {
         let pass = ratio <= SCALE_BOUND;
         ok &= pass;
         table.push(vec![
-            format!("scale/{}{}", scheme.label(), if recorder { "+recorder" } else { "" }),
+            row.label(),
             events[0].to_string(),
             format!("{short:.1}"),
             events[1].to_string(),

@@ -3,6 +3,7 @@
 use crate::{CmRdt, CvRdt};
 use clocks::ActorId;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A grow-only counter: one non-negative count per actor; value is the sum.
@@ -35,14 +36,32 @@ impl GCounter {
     pub fn of_actor(&self, actor: ActorId) -> u64 {
         self.counts.get(&actor).copied().unwrap_or(0)
     }
+
+    /// Join `other` into `self`, returning whether `self` changed (a
+    /// component grew or a new actor appeared) — the merge callers use to
+    /// detect inflation without cloning the old state.
+    pub fn merge_changed(&mut self, other: &Self) -> bool {
+        let mut changed = false;
+        for (&a, &c) in &other.counts {
+            match self.counts.entry(a) {
+                Entry::Vacant(e) => {
+                    e.insert(c);
+                    changed = true;
+                }
+                Entry::Occupied(mut e) if c > *e.get() => {
+                    e.insert(c);
+                    changed = true;
+                }
+                Entry::Occupied(_) => {}
+            }
+        }
+        changed
+    }
 }
 
 impl CvRdt for GCounter {
     fn merge(&mut self, other: &Self) {
-        for (&a, &c) in &other.counts {
-            let e = self.counts.entry(a).or_insert(0);
-            *e = (*e).max(c);
-        }
+        self.merge_changed(other);
     }
 }
 
@@ -73,12 +92,19 @@ impl PnCounter {
     pub fn value(&self) -> i64 {
         self.p.value() as i64 - self.n.value() as i64
     }
+
+    /// Join `other` into `self`, returning whether `self` changed (see
+    /// [`GCounter::merge_changed`]).
+    pub fn merge_changed(&mut self, other: &Self) -> bool {
+        // Both halves merge; `|` (not `||`) keeps the second from being
+        // skipped.
+        self.p.merge_changed(&other.p) | self.n.merge_changed(&other.n)
+    }
 }
 
 impl CvRdt for PnCounter {
     fn merge(&mut self, other: &Self) {
-        self.p.merge(&other.p);
-        self.n.merge(&other.n);
+        self.merge_changed(other);
     }
 }
 

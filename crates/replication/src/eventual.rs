@@ -2,7 +2,10 @@
 //!
 //! Every replica accepts reads and writes locally and propagates updates
 //! by eager one-way broadcast ([`EventualConfig::eager`]) and/or periodic
-//! push-pull anti-entropy gossip ([`EventualConfig::gossip`]). This is
+//! push-pull anti-entropy gossip ([`EventualConfig::gossip`]). Gossip
+//! exchanges per-key digests under LWW and siblings; CRDT counters gossip
+//! by delta: each replica keeps per-peer [`Watermarks`] into the peers'
+//! change sequences and ships only what changed after them. This is
 //! the kernel's multi-master replica: storage and merges come from
 //! [`crate::kernel::resolution::ResolvingStore`], crash behaviour from
 //! [`crate::kernel::durability`], and gossip/ack mechanics from
@@ -30,8 +33,8 @@
 
 use crate::common::{ClientCore, Guarantees, IssueOp, OpOutcome, ScriptOp, TimerAction};
 use crate::kernel::durability::{DurabilityPolicy, WalState};
-use crate::kernel::propagation::{AckTracker, Gossip, PeerCache};
-use crate::kernel::resolution::{Digests, ResolvingStore, WriteEffect};
+use crate::kernel::propagation::{AckTracker, Gossip, PeerCache, Watermarks};
+use crate::kernel::resolution::{ChangeSeq, Digests, ResolvingStore, WriteEffect};
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
 use kvstore::Key;
 use obs::EventKind;
@@ -140,6 +143,9 @@ pub enum Msg {
         digest: Vec<(Key, LamportTimestamp)>,
         /// Sibling-mode digest: per-key joint event sets.
         vv_digest: Vec<(Key, VersionVector)>,
+        /// Counter mode: the initiator's watermark into the responder's
+        /// change sequence (0 in the other modes).
+        since: ChangeSeq,
     },
     /// Gossip round 2: items the responder has that the initiator lacks,
     /// plus the responder's digest for the reverse fill.
@@ -150,11 +156,23 @@ pub enum Msg {
         digest: Vec<(Key, LamportTimestamp)>,
         /// Responder's sibling-mode digest.
         vv_digest: Vec<(Key, VersionVector)>,
+        /// The request's `since`, echoed.
+        since: ChangeSeq,
+        /// The responder's change sequence position: `items` holds
+        /// everything it changed in `(since, upto]`.
+        upto: ChangeSeq,
+        /// The responder's watermark into the initiator's change
+        /// sequence (what the reverse fill may leave out).
+        seen: ChangeSeq,
     },
     /// Gossip round 3: reverse fill.
     SyncPush {
         /// Items newer at the initiator.
         items: Vec<Item>,
+        /// The response's `seen`, echoed.
+        since: ChangeSeq,
+        /// The initiator's change sequence position.
+        upto: ChangeSeq,
     },
 }
 
@@ -200,6 +218,13 @@ pub struct EventualReplica {
     next_req: u64,
     /// Reusable fan-out peer list (membership is fixed for a run).
     peer_cache: PeerCache,
+    /// Counter mode: how far into each peer's change sequence this
+    /// replica has merged. Lives and dies with `store`.
+    seen: Watermarks,
+    /// Ship full counter state in every exchange, as gossip did before
+    /// watermarks: the oracle the delta protocol is tested against.
+    #[cfg(test)]
+    full_state: bool,
 }
 
 impl EventualReplica {
@@ -215,6 +240,9 @@ impl EventualReplica {
             pending: BTreeMap::new(),
             next_req: 1,
             peer_cache: PeerCache::default(),
+            seen: Watermarks::default(),
+            #[cfg(test)]
+            full_state: false,
         }
     }
 
@@ -240,6 +268,28 @@ impl EventualReplica {
             self.cfg.durability,
             DurabilityPolicy::WalReplay | DurabilityPolicy::CheckpointedWal
         )
+    }
+
+    /// Items a peer lacks, given its digests and its watermark `since`
+    /// into this replica's change sequence.
+    fn missing_at(
+        &self,
+        digest: &[(Key, LamportTimestamp)],
+        vv_digest: &[(Key, VersionVector)],
+        since: ChangeSeq,
+    ) -> Vec<Item> {
+        #[cfg(test)]
+        if let (true, Some(c)) = (self.full_state, self.store.counters()) {
+            return c.full_state();
+        }
+        self.store.missing_at_remote(digest, vv_digest, since)
+    }
+
+    /// Wipe the store (volatile-state amnesia) and, with it, the
+    /// watermarks that vouched for its contents.
+    fn reset_store(&mut self) {
+        self.store.reset();
+        self.seen.clear();
     }
 
     fn gossip(&self) -> Option<Gossip> {
@@ -372,7 +422,14 @@ impl EventualReplica {
         ctx.record(EventKind::AntiEntropyRound { node: me.0 as u64, fanout: fanout as u64 });
         let (digest, vv_digest): Digests = self.store.digest();
         for target in gossip.choose_targets(ctx, &all_peers) {
-            ctx.send(target, Msg::SyncReq { digest: digest.clone(), vv_digest: vv_digest.clone() });
+            ctx.send(
+                target,
+                Msg::SyncReq {
+                    digest: digest.clone(),
+                    vv_digest: vv_digest.clone(),
+                    since: self.seen.get(target),
+                },
+            );
         }
         self.peer_cache.restore(all_peers);
     }
@@ -427,10 +484,10 @@ impl Actor<Msg> for EventualReplica {
                         // the replica restarts empty and anti-entropy
                         // refills it from peers — the convergence path
                         // the protocol already has.
-                        ConflictMode::Siblings | ConflictMode::Counter => self.store.reset(),
+                        ConflictMode::Siblings | ConflictMode::Counter => self.reset_store(),
                     }
                 }
-                DurabilityPolicy::Volatile => self.store.reset(),
+                DurabilityPolicy::Volatile => self.reset_store(),
             }
         }
         // The crash killed the gossip timer chain; re-arm it with the same
@@ -466,22 +523,43 @@ impl Actor<Msg> for EventualReplica {
                     }
                 }
             }
-            Msg::SyncReq { digest, vv_digest } => {
-                let items = self.store.missing_at_remote(&digest, &vv_digest);
+            Msg::SyncReq { digest, vv_digest, since } => {
+                let items = self.missing_at(&digest, &vv_digest, since);
                 let (my_digest, my_vv) = self.store.digest();
-                ctx.send(from, Msg::SyncResp { items, digest: my_digest, vv_digest: my_vv });
+                ctx.send(
+                    from,
+                    Msg::SyncResp {
+                        items,
+                        digest: my_digest,
+                        vv_digest: my_vv,
+                        since,
+                        upto: self.store.change_seq(),
+                        seen: self.seen.get(from),
+                    },
+                );
             }
-            Msg::SyncResp { items, digest, vv_digest } => {
+            Msg::SyncResp { items, digest, vv_digest, since, upto, seen } => {
                 let conflicts = self.apply_and_log(ctx, items);
                 Self::record_conflicts(ctx, conflicts);
-                let back = self.store.missing_at_remote(&digest, &vv_digest);
-                if !back.is_empty() {
-                    ctx.send(from, Msg::SyncPush { items: back });
+                self.seen.advance(from, since, upto);
+                let back = self.missing_at(&digest, &vv_digest, seen);
+                // A counter store pushes whenever it holds any key, even
+                // with an empty delta (the push carries its watermark):
+                // exactly the exchanges in which full-state gossip
+                // pushed, so runs keep their message pattern.
+                let push = match self.store.counters() {
+                    Some(c) => !c.is_empty(),
+                    None => !back.is_empty(),
+                };
+                if push {
+                    let upto = self.store.change_seq();
+                    ctx.send(from, Msg::SyncPush { items: back, since: seen, upto });
                 }
             }
-            Msg::SyncPush { items } => {
+            Msg::SyncPush { items, since, upto } => {
                 let conflicts = self.apply_and_log(ctx, items);
                 Self::record_conflicts(ctx, conflicts);
+                self.seen.advance(from, since, upto);
             }
             // Responses are client-side messages; a replica ignores them.
             Msg::GetResp { .. } | Msg::PutResp { .. } => {}
@@ -671,6 +749,9 @@ impl Actor<Msg> for EventualClient {
 }
 
 #[cfg(test)]
+mod delta_oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use simnet::{optrace, LatencyModel, Sim, SimConfig};
@@ -692,6 +773,14 @@ mod tests {
 
     fn script(ops: &[(OpKind, Key)]) -> Vec<ScriptOp> {
         ops.iter().map(|&(kind, key)| ScriptOp { gap_us: 1_000, kind, key }).collect()
+    }
+
+    #[test]
+    fn message_size_is_pinned() {
+        // Recorded `bytes_sent`/`bytes_delivered` are `size_of::<Msg>()`
+        // per message, so growing the enum changes every results file
+        // that counts bytes. The gossip watermarks are `u32` to fit.
+        assert_eq!(std::mem::size_of::<Msg>(), 96);
     }
 
     #[test]

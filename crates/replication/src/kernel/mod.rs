@@ -6,7 +6,7 @@
 //! | layer | question | implementations |
 //! |---|---|---|
 //! | [`durability`] | what survives a crash? | [`DurabilityPolicy`] over [`kvstore::Wal`] |
-//! | [`propagation`] | how do updates travel? | [`PropagationPolicy`]: eager broadcast, quorum fan-out, anti-entropy gossip, primary log shipping, consensus log |
+//! | [`propagation`] | how do updates travel? | [`PropagationPolicy`]: eager broadcast, quorum fan-out, anti-entropy gossip (digests for LWW and siblings, per-peer [`Watermarks`] deltas for CRDT counters), primary log shipping, consensus log |
 //! | [`resolution`] | how do conflicts resolve? | [`ResolutionPolicy`]: LWW register, version-vector siblings, CRDT merge |
 //!
 //! The protocol modules (`eventual`, `quorum`, `primary`, `causal`,
@@ -19,6 +19,12 @@
 //! (e.g. [`Composition::mm_gossip_crdt`],
 //! [`Composition::mm_eager_acked`]) are reachable without writing a new
 //! protocol monolith.
+//!
+//! Delta anti-entropy's reset rule: a [`CounterStore`]'s change
+//! sequence survives a wipe of the store, and a replica clears its
+//! [`Watermarks`] whenever its own store is wiped. A watermark into a
+//! peer's sequence therefore always vouches only for state this replica
+//! still holds.
 
 pub mod durability;
 pub mod propagation;
@@ -26,8 +32,13 @@ pub mod resolution;
 pub mod ring;
 
 pub use durability::{DurabilityPolicy, WalState};
-pub use propagation::{peers, AckTracker, Gossip, GossipConfig, PropagationPolicy, ShipMode};
-pub use resolution::{ConflictMode, Item, ReadView, ResolutionPolicy, ResolvingStore, WriteEffect};
+pub use propagation::{
+    peers, AckTracker, Gossip, GossipConfig, PropagationPolicy, ShipMode, Watermarks,
+};
+pub use resolution::{
+    ChangeSeq, ConflictMode, CounterStore, Item, ReadView, ResolutionPolicy, ResolvingStore,
+    WriteEffect,
+};
 pub use ring::Ring;
 
 use simnet::Duration;

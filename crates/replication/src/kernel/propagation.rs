@@ -2,11 +2,13 @@
 //!
 //! Policies are named by [`PropagationPolicy`]; the mechanism pieces the
 //! protocols share live here: peer enumeration ([`peers`]), gossip
-//! round timing with jittered desynchronization ([`Gossip`]), and
-//! threshold ack counting ([`AckTracker`] — write quorums, sync-backup
-//! acks, Paxos promise/accept tallies, and eager-broadcast acks are all
-//! the same "count distinct responders up to a need" loop).
+//! round timing with jittered desynchronization ([`Gossip`]), per-peer
+//! delta anti-entropy watermarks ([`Watermarks`]), and threshold ack
+//! counting ([`AckTracker`] — write quorums, sync-backup acks, Paxos
+//! promise/accept tallies, and eager-broadcast acks are all the same
+//! "count distinct responders up to a need" loop).
 
+use super::resolution::ChangeSeq;
 use simnet::{Context, Duration, NodeId};
 use std::collections::BTreeSet;
 
@@ -164,6 +166,51 @@ impl Gossip {
     }
 }
 
+/// Per-peer watermarks for delta anti-entropy of CRDT state.
+///
+/// `get(p)` is the position in peer `p`'s change sequence up to which
+/// this replica has merged all of `p`'s state: every key `p` holds with
+/// a stamp at or below it is already covered here. A gossip request
+/// carries that watermark as `since`, and the peer answers with only the
+/// keys it changed after it, plus `upto`, its current sequence position.
+///
+/// The reset rule: [`Watermarks::clear`] whenever the local store is
+/// wiped, since the wipe loses what the watermarks vouch for. A peer's
+/// own wipe needs nothing: its sequence keeps counting, so whatever it
+/// holds afterwards is stamped above every watermark into it.
+#[derive(Debug, Clone, Default)]
+pub struct Watermarks {
+    seen: Vec<ChangeSeq>,
+}
+
+impl Watermarks {
+    /// The watermark into `peer`'s change sequence (0: nothing merged).
+    pub fn get(&self, peer: NodeId) -> ChangeSeq {
+        self.seen.get(peer.index()).copied().unwrap_or(0)
+    }
+
+    /// Record a merged delta: everything `peer` changed after `since`
+    /// up to `upto`. Ignored when `since` is ahead of the current
+    /// watermark — the store was wiped after asking, so it lacks what
+    /// `peer` held at or below `since` — and when it would move back.
+    pub fn advance(&mut self, peer: NodeId, since: ChangeSeq, upto: ChangeSeq) {
+        let cur = self.get(peer);
+        if since > cur || upto <= cur {
+            return;
+        }
+        let i = peer.index();
+        if self.seen.len() <= i {
+            self.seen.resize(i + 1, 0);
+        }
+        self.seen[i] = upto;
+    }
+
+    /// Forget every watermark (the local store was reset).
+    pub fn clear(&mut self) {
+        self.seen.clear();
+    }
+}
+
 /// Count distinct acking nodes toward a threshold.
 #[derive(Debug, Clone, Default)]
 pub struct AckTracker {
@@ -225,6 +272,25 @@ mod tests {
         assert!(!t.ack(NodeId(3)), "over-ack does not re-fire");
         assert_eq!(t.count(), 3);
         assert!(t.reached());
+    }
+
+    #[test]
+    fn watermarks_advance_only_from_what_is_held() {
+        let mut w = Watermarks::default();
+        let p = NodeId(2);
+        assert_eq!(w.get(p), 0);
+        w.advance(p, 0, 5);
+        assert_eq!(w.get(p), 5);
+        w.advance(p, 3, 4);
+        assert_eq!(w.get(p), 5, "a stale response never moves the watermark back");
+        w.advance(p, 5, 9);
+        assert_eq!(w.get(p), 9);
+        w.clear();
+        w.advance(p, 9, 12);
+        assert_eq!(w.get(p), 0, "a response asked for before a reset is not trusted");
+        w.advance(p, 0, 12);
+        assert_eq!(w.get(p), 12);
+        assert_eq!(w.get(NodeId(0)), 0);
     }
 
     #[test]

@@ -4,17 +4,27 @@
 //! chosen by [`ResolutionPolicy`]: last-writer-wins over an
 //! [`kvstore::MvStore`], dotted-version-vector siblings over a
 //! [`kvstore::SiblingStore`], or CRDT join over [`crdt::PnCounter`]
-//! state (wired to `crates/crdt`; `tests/crdt_semilattice.rs`
-//! cross-checks the store's merges against direct CRDT merges). The
-//! store also knows how to summarize itself for anti-entropy
-//! ([`ResolvingStore::digest`] / [`ResolvingStore::missing_at_remote`])
-//! so propagation policies stay resolution-agnostic.
+//! state in a [`CounterStore`] (wired to `crates/crdt`;
+//! `tests/crdt_semilattice.rs` cross-checks the store's merges against
+//! direct CRDT merges). The store also knows what a peer lacks for
+//! anti-entropy ([`ResolvingStore::digest`] /
+//! [`ResolvingStore::missing_at_remote`]) so propagation policies stay
+//! resolution-agnostic: LWW and sibling stores compare per-key digests,
+//! counter stores ship the counters changed after the peer's watermark
+//! into their change sequence ([`CounterStore::changed_since`]).
 
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
-use crdt::{CvRdt, PnCounter};
+use crdt::PnCounter;
 use kvstore::{siblings::Sibling, Key, MvStore, SiblingStore, Value};
 use simnet::NodeId;
 use std::collections::BTreeMap;
+use std::ops::Bound;
+
+/// A position in a [`CounterStore`]'s change sequence. Every change to
+/// a key (a local increment or a merge that inflated it) takes the next
+/// number; 0 means "before any change". `u32` keeps the gossip messages
+/// that carry watermarks at their size.
+pub type ChangeSeq = u32;
 
 /// How conflicts resolve (the resolution axis of a
 /// [`super::Composition`]).
@@ -166,6 +176,115 @@ pub struct ApplyOutcome {
     pub adopted: Vec<(Key, Value, LamportTimestamp, u64)>,
 }
 
+/// PN-counters per key, each stamped with the [`ChangeSeq`] of its last
+/// change, plus the keys in stamp order — so delta anti-entropy can ship
+/// exactly the counters changed after a peer's watermark.
+#[derive(Debug, Default)]
+pub struct CounterStore {
+    /// Counter state and last-change stamp per key.
+    counters: BTreeMap<Key, (PnCounter, ChangeSeq)>,
+    /// Every key under its current stamp: the change order.
+    by_seq: BTreeMap<ChangeSeq, Key>,
+    /// The last stamp handed out. It survives [`CounterStore::reset`],
+    /// so a peer's watermark into this sequence stays a valid lower
+    /// bound after an amnesia wipe: everything held afterwards is
+    /// stamped above it.
+    seq: ChangeSeq,
+}
+
+impl CounterStore {
+    /// The last stamp handed out (what a peer that has merged
+    /// everything this store holds may record as its watermark).
+    pub fn seq(&self) -> ChangeSeq {
+        self.seq
+    }
+
+    /// Whether the store holds no key.
+    pub fn is_empty(&self) -> bool {
+        self.counters.is_empty()
+    }
+
+    /// Counter value for `key`.
+    pub fn value(&self, key: Key) -> Option<i64> {
+        self.counters.get(&key).map(|(c, _)| c.value())
+    }
+
+    /// Every counter, in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (Key, &PnCounter)> + '_ {
+        self.counters.iter().map(|(&k, (c, _))| (k, c))
+    }
+
+    /// The counters changed after `since`, in change order: the delta a
+    /// peer whose watermark is `since` lacks. Costs O(items returned ·
+    /// log keys); unchanged keys are never visited.
+    pub fn changed_since(&self, since: ChangeSeq) -> Vec<Item> {
+        self.by_seq
+            .range((Bound::Excluded(since), Bound::Unbounded))
+            .map(|(_, &key)| {
+                let (state, _) = self.counters.get(&key).expect("every indexed key is stored");
+                Item::Counter { key, state: state.clone() }
+            })
+            .collect()
+    }
+
+    /// Every counter, in key order: what full-state gossip shipped (the
+    /// oracle delta gossip is checked against).
+    #[cfg(test)]
+    pub(crate) fn full_state(&self) -> Vec<Item> {
+        self.iter().map(|(key, c)| Item::Counter { key, state: c.clone() }).collect()
+    }
+
+    /// Add `n` to `actor`'s component of `key`; returns the new state.
+    fn increment(&mut self, key: Key, actor: u64, n: u64) -> PnCounter {
+        let next = self.next_seq();
+        let (c, stamp) = self.counters.entry(key).or_default();
+        c.increment(actor, n);
+        let state = c.clone();
+        let old = std::mem::replace(stamp, next);
+        self.restamp(key, old, next);
+        state
+    }
+
+    /// Join `state` into `key`'s counter; returns whether it changed
+    /// (and was stamped).
+    fn merge(&mut self, key: Key, state: PnCounter) -> bool {
+        use std::collections::btree_map::Entry;
+        let next = self.next_seq();
+        let old = match self.counters.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert((state, next));
+                0
+            }
+            Entry::Occupied(mut e) => {
+                let (c, stamp) = e.get_mut();
+                if !c.merge_changed(&state) {
+                    return false;
+                }
+                std::mem::replace(stamp, next)
+            }
+        };
+        self.restamp(key, old, next);
+        true
+    }
+
+    fn next_seq(&self) -> ChangeSeq {
+        self.seq.checked_add(1).expect("counter change sequence exhausted")
+    }
+
+    /// Move `key` from stamp `old` (0: unstamped) to `new` in the index.
+    fn restamp(&mut self, key: Key, old: ChangeSeq, new: ChangeSeq) {
+        self.seq = new;
+        self.by_seq.remove(&old);
+        self.by_seq.insert(new, key);
+    }
+
+    /// Drop every counter (volatile-state amnesia), keeping the sequence.
+    fn reset(&mut self) {
+        self.counters.clear();
+        self.by_seq.clear();
+    }
+}
+
 /// Replica-side storage with pluggable conflict resolution.
 #[derive(Debug)]
 pub enum ResolvingStore {
@@ -174,7 +293,7 @@ pub enum ResolvingStore {
     /// Dotted-version-vector sibling sets.
     Sib(SiblingStore),
     /// PN-counter per key, merged as a CRDT.
-    Crdt(BTreeMap<Key, PnCounter>),
+    Crdt(CounterStore),
 }
 
 impl ResolvingStore {
@@ -188,7 +307,7 @@ impl ResolvingStore {
             ResolutionPolicy::VersionVectorSiblings => {
                 ResolvingStore::Sib(SiblingStore::new(u64::MAX))
             }
-            ResolutionPolicy::CrdtMerge => ResolvingStore::Crdt(BTreeMap::new()),
+            ResolutionPolicy::CrdtMerge => ResolvingStore::Crdt(CounterStore::default()),
         }
     }
 
@@ -201,9 +320,13 @@ impl ResolvingStore {
         }
     }
 
-    /// Reset to empty (volatile-state amnesia).
+    /// Reset to empty (volatile-state amnesia). A counter store keeps
+    /// its change sequence (see [`CounterStore::seq`]).
     pub fn reset(&mut self) {
-        *self = ResolvingStore::new(self.policy());
+        match self {
+            ResolvingStore::Crdt(c) => c.reset(),
+            _ => *self = ResolvingStore::new(self.policy()),
+        }
     }
 
     /// Fix the sibling store's dot-minting id to this node before its
@@ -232,12 +355,23 @@ impl ResolvingStore {
         }
     }
 
-    /// Counter value for `key` (CRDT policy).
-    pub fn counter_value(&self, key: Key) -> Option<i64> {
+    /// Read access to the counter store (CRDT policy).
+    pub fn counters(&self) -> Option<&CounterStore> {
         match self {
-            ResolvingStore::Crdt(m) => m.get(&key).map(|c| c.value()),
+            ResolvingStore::Crdt(c) => Some(c),
             _ => None,
         }
+    }
+
+    /// Counter value for `key` (CRDT policy).
+    pub fn counter_value(&self, key: Key) -> Option<i64> {
+        self.counters().and_then(|c| c.value(key))
+    }
+
+    /// The counter store's change sequence position; 0 under the other
+    /// policies, which gossip by digest instead.
+    pub fn change_seq(&self) -> ChangeSeq {
+        self.counters().map_or(0, CounterStore::seq)
     }
 
     /// Serve a local read.
@@ -267,8 +401,8 @@ impl ResolvingStore {
                     ctx: r.context,
                 }
             }
-            ResolvingStore::Crdt(m) => {
-                let v = m.get(&key).map(|c| c.value()).unwrap_or(0);
+            ResolvingStore::Crdt(c) => {
+                let v = c.value(key).unwrap_or(0);
                 ReadView {
                     values: vec![v as u64],
                     stamp: None,
@@ -331,15 +465,11 @@ impl ResolvingStore {
                     effect,
                 }
             }
-            ResolvingStore::Crdt(m) => {
-                let c = m.entry(key).or_default();
-                c.increment(me.0 as u64, value);
-                WriteOutcome {
-                    stamp: (0, 0),
-                    items: vec![Item::Counter { key, state: c.clone() }],
-                    effect: WriteEffect::None,
-                }
-            }
+            ResolvingStore::Crdt(c) => WriteOutcome {
+                stamp: (0, 0),
+                items: vec![Item::Counter { key, state: c.increment(key, me.0 as u64, value) }],
+                effect: WriteEffect::None,
+            },
         }
     }
 
@@ -370,11 +500,8 @@ impl ResolvingStore {
                         }
                     }
                 }
-                (ResolvingStore::Crdt(m), Item::Counter { key, state }) => {
-                    let e = m.entry(key).or_default();
-                    let before = e.clone();
-                    e.merge(&state);
-                    if *e != before {
+                (ResolvingStore::Crdt(c), Item::Counter { key, state }) => {
+                    if c.merge(key, state) {
                         out.changed += 1;
                     }
                 }
@@ -392,16 +519,21 @@ impl ResolvingStore {
             ResolvingStore::Sib(s) => {
                 (Vec::new(), s.keys().map(|k| (k, s.read(k).context)).collect())
             }
-            // Counters have no cheap digest; gossip ships full state.
+            // Counters need no digest: the peer sends its watermark into
+            // this store's change sequence instead.
             ResolvingStore::Crdt(_) => (Vec::new(), Vec::new()),
         }
     }
 
-    /// Items this store has that the remote digest lacks.
+    /// Items this store has that the remote lacks: judged by the remote
+    /// digests under LWW and siblings, and under CRDT merge by `since`,
+    /// the remote's watermark into this store's change sequence (the
+    /// other policies ignore it).
     pub fn missing_at_remote(
         &self,
         digest: &[(Key, LamportTimestamp)],
         vv_digest: &[(Key, VersionVector)],
+        since: ChangeSeq,
     ) -> Vec<Item> {
         match self {
             ResolvingStore::Lww(s) => {
@@ -431,9 +563,7 @@ impl ResolvingStore {
                 }
                 items
             }
-            ResolvingStore::Crdt(m) => {
-                m.iter().map(|(&k, c)| Item::Counter { key: k, state: c.clone() }).collect()
-            }
+            ResolvingStore::Crdt(c) => c.changed_since(since),
         }
     }
 
@@ -459,7 +589,7 @@ impl ResolvingStore {
                 })
                 .collect(),
             // A counter's "version" is its current value.
-            ResolvingStore::Crdt(m) => m.iter().map(|(&k, c)| (k, c.value() as u64)).collect(),
+            ResolvingStore::Crdt(c) => c.iter().map(|(k, c)| (k, c.value() as u64)).collect(),
         }
     }
 }
@@ -467,6 +597,7 @@ impl ResolvingStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crdt::CvRdt;
 
     #[test]
     fn policy_roundtrips_through_conflict_mode() {
@@ -494,6 +625,54 @@ mod tests {
         let mut direct = a.clone();
         direct.merge(&b);
         assert_eq!(store.counter_value(9), Some(direct.value()));
+    }
+
+    fn keys(items: &[Item]) -> Vec<Key> {
+        items
+            .iter()
+            .map(|i| match i {
+                Item::Counter { key, .. } => *key,
+                other => panic!("not a counter item: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn counter_store_ships_changes_after_a_watermark_in_change_order() {
+        let mut c = CounterStore::default();
+        c.increment(1, 0, 5);
+        c.increment(2, 0, 1);
+        c.increment(3, 0, 1);
+        assert_eq!(c.seq(), 3);
+        let mark = c.seq();
+        c.increment(1, 0, 2);
+        assert_eq!(keys(&c.changed_since(mark)), vec![1], "only the re-changed key");
+        assert_eq!(keys(&c.changed_since(0)), vec![2, 3, 1], "a key moves to its latest stamp");
+
+        // A merge that inflates stamps the key; one that does not, does not.
+        let mut remote = PnCounter::default();
+        remote.increment(9, 4);
+        assert!(c.merge(2, remote.clone()));
+        assert!(!c.merge(2, remote));
+        assert!(!c.merge(3, PnCounter::default()));
+        assert_eq!(keys(&c.changed_since(mark)), vec![1, 2]);
+        assert_eq!(c.seq(), 5);
+    }
+
+    #[test]
+    fn counter_store_reset_keeps_its_change_sequence() {
+        let mut store = ResolvingStore::new(ResolutionPolicy::CrdtMerge);
+        let mut clock = LamportClock::new();
+        let vv = VersionVector::new();
+        for key in 0..4 {
+            store.write_local(NodeId(1), key, 1, (0, 0), &vv, 0, &mut clock);
+        }
+        let mark = store.change_seq();
+        store.reset();
+        assert!(store.counters().unwrap().is_empty());
+        assert_eq!(store.change_seq(), mark, "a peer's watermark stays a lower bound");
+        store.write_local(NodeId(1), 7, 1, (0, 0), &vv, 0, &mut clock);
+        assert_eq!(keys(&store.missing_at_remote(&[], &[], mark)), vec![7]);
     }
 
     #[test]

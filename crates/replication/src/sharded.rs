@@ -5,9 +5,9 @@
 //! single-shard analysis but cannot say anything about cluster-scale
 //! effects: membership churn, rebalancing cost, or how sloppy-quorum
 //! availability behaves when spares are *other data-carrying nodes*
-//! rather than dedicated hint parks. This module composes the
-//! [`Ring`](crate::kernel::ring::Ring) consistent-hashing layer with
-//! [`QuorumNode`] to model a Dynamo-style cluster:
+//! rather than dedicated hint parks. This module composes the [`Ring`]
+//! consistent-hashing layer with [`QuorumNode`] to model a Dynamo-style
+//! cluster:
 //!
 //! - every physical node owns the keys whose hash walk reaches it first,
 //! - each key's preference list is its first `n` distinct owners,

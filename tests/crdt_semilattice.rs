@@ -182,6 +182,43 @@ proptest! {
         assert_lattice_laws(&rga(0, &a), &rga(1, &b), &rga(2, &c));
     }
 
+    /// `merge_changed` is the join `CvRdt::merge` computes — the
+    /// per-actor maximum — and reports a change exactly when the state
+    /// differs from before, so the kernel can stamp inflated keys
+    /// without cloning them. Prefixes of one actor's history cover the
+    /// merges that change nothing.
+    #[test]
+    fn counter_merge_changed_matches_merge(
+        a in arb_ops(), b in arb_ops(), cut in 0usize..10,
+    ) {
+        let prefix = &a[..cut.min(a.len())];
+        let grow = |x: &GCounter, y: &GCounter| {
+            let mut m = x.clone();
+            let changed = m.merge_changed(y);
+            (m, changed)
+        };
+        let gs = [g_counter(0, &a), g_counter(0, prefix), g_counter(1, &b), GCounter::new()];
+        for x in &gs {
+            for y in &gs {
+                let (m, changed) = grow(x, y);
+                prop_assert_eq!(&m, &x.clone().merged(y));
+                prop_assert_eq!(changed, &m != x);
+                for actor in 0..2 {
+                    prop_assert_eq!(m.of_actor(actor), x.of_actor(actor).max(y.of_actor(actor)));
+                }
+            }
+        }
+        let ps = [pn_counter(0, &a), pn_counter(0, prefix), pn_counter(1, &b), PnCounter::new()];
+        for x in &ps {
+            for y in &ps {
+                let mut m = x.clone();
+                let changed = m.merge_changed(y);
+                prop_assert_eq!(&m, &x.clone().merged(y));
+                prop_assert_eq!(changed, &m != x);
+            }
+        }
+    }
+
     /// The kernel's CrdtMerge store is the same machine as merging the
     /// counter states directly: apply the three replicas' states to a
     /// `ResolvingStore` in two different orders and compare both against
