@@ -236,16 +236,21 @@ impl ScaleRow {
     }
 }
 
-/// Rows the scale check covers: the read-heavy client paths and the
-/// CRDT gossip path with the recorder off; quorum with it on, which runs
-/// the read-staleness telemetry on every ok read; and CRDT gossip over
-/// [`WIDE_KEYS`] keys, where the keys a replica holds grow with the run,
-/// so gossip work that scales with keys held shows as growth.
-const SCALE_ROWS: [ScaleRow; 6] = [
+/// Rows the scale check covers: every fuzz scheme with the recorder
+/// off (the read-heavy client paths, digest and CRDT gossip, eager-acked
+/// fan-out, consensus); quorum with it on, which runs the read-staleness
+/// telemetry on every ok read; and CRDT gossip over [`WIDE_KEYS`] keys,
+/// where the keys a replica holds grow with the run, so gossip work that
+/// scales with keys held shows as growth.
+const SCALE_ROWS: [ScaleRow; 10] = [
     ScaleRow::new(FuzzScheme::MajorityQuorum, false, false),
     ScaleRow::new(FuzzScheme::PrimarySync, false, false),
     ScaleRow::new(FuzzScheme::Causal, false, false),
     ScaleRow::new(FuzzScheme::MultiMasterCrdt, false, false),
+    ScaleRow::new(FuzzScheme::EventualSticky, false, false),
+    ScaleRow::new(FuzzScheme::EagerAckedEventual, false, false),
+    ScaleRow::new(FuzzScheme::PartialQuorum, false, false),
+    ScaleRow::new(FuzzScheme::Paxos, false, false),
     ScaleRow::new(FuzzScheme::MajorityQuorum, true, false),
     ScaleRow::new(FuzzScheme::MultiMasterCrdt, false, true),
 ];

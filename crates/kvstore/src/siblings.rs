@@ -38,6 +38,17 @@ pub struct ReadResult {
     pub context: VersionVector,
 }
 
+/// The causal context covering every sibling in `siblings` (the context
+/// [`SiblingStore::read`] returns), computed without touching values.
+pub fn joint_context(siblings: &[Sibling]) -> VersionVector {
+    let mut context = VersionVector::new();
+    for s in siblings {
+        context.merge(&s.dvv.context);
+        context.observe(s.dvv.dot.actor, s.dvv.dot.counter);
+    }
+    context
+}
+
 /// A replica-local store keeping concurrent siblings per key.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SiblingStore {
@@ -56,15 +67,11 @@ impl SiblingStore {
 
     /// Read `key`: all current siblings plus their joint context.
     pub fn read(&self, key: Key) -> ReadResult {
-        let mut context = VersionVector::new();
-        let mut values = Vec::new();
-        if let Some(e) = self.entries.get(&key) {
-            for s in &e.siblings {
-                context.merge(&s.dvv.event_set());
-                values.push(s.value.clone());
-            }
+        let siblings = self.siblings(key);
+        ReadResult {
+            values: siblings.iter().map(|s| s.value.clone()).collect(),
+            context: joint_context(siblings),
         }
-        ReadResult { values, context }
     }
 
     /// Write `value` to `key` with the client's causal `context`. Siblings
@@ -119,6 +126,11 @@ impl SiblingStore {
     /// Iterate all keys.
     pub fn keys(&self) -> impl Iterator<Item = Key> + '_ {
         self.entries.keys().copied()
+    }
+
+    /// Every key with its siblings, ascending by key.
+    pub fn iter(&self) -> impl Iterator<Item = (Key, &[Sibling])> + '_ {
+        self.entries.iter().map(|(&k, e)| (k, e.siblings.as_slice()))
     }
 
     /// Number of keys.

@@ -317,6 +317,17 @@ impl Recorder {
         }
     }
 
+    /// [`Recorder::sample`] for every value of `values`, all at `t_us`,
+    /// under one lock. Free when the recorder is disabled.
+    pub fn sample_all(&self, t_us: u64, metric: TsMetric, values: impl IntoIterator<Item = u64>) {
+        if let Some(core) = &self.core {
+            let series = &mut core.lock().unwrap().series[metric as usize];
+            for value in values {
+                series.record(t_us, value);
+            }
+        }
+    }
+
     /// Fold everything `other` aggregated into this recorder.
     ///
     /// This is the merge step of a parallel experiment grid: each cell

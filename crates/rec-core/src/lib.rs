@@ -43,5 +43,7 @@ pub mod scheme;
 
 pub use fuzz::{CampaignReport, CaseReport, FuzzCase, FuzzScheme, Verdict, ViolationKind};
 pub use grid::{default_jobs, par_map, CellResult, Grid, RecorderSpec};
+#[cfg(debug_assertions)]
+pub use runner::divergence_probes;
 pub use runner::{Experiment, RunResult};
 pub use scheme::{ClientPlacement, Scheme};

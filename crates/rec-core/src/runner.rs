@@ -483,12 +483,45 @@ fn run_primary(
     drive(sim, horizon, monitor)
 }
 
+#[cfg(debug_assertions)]
+thread_local! {
+    static DIVERGENCE_PROBES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many per-bucket replica-divergence probes `drive` has run on
+/// this thread (debug builds only). Tests use it to prove that the
+/// probe is skipped when the recorder is off.
+#[cfg(debug_assertions)]
+pub fn divergence_probes() -> u64 {
+    DIVERGENCE_PROBES.with(|c| c.get())
+}
+
+/// Fold every actor's [`simnet::Actor::key_versions`] list into the
+/// number of distinct versions per key, in key order. Each list is
+/// key-sorted (a store scan), so `buf` holds sorted runs that the
+/// stable sort merges; after `dedup` a key's run length is its number of
+/// distinct versions. `buf` is scratch space reused across calls.
+fn divergence<'a>(
+    lists: impl IntoIterator<Item = Vec<(u64, u64)>>,
+    buf: &'a mut Vec<(u64, u64)>,
+) -> impl Iterator<Item = u64> + 'a {
+    buf.clear();
+    for list in lists {
+        debug_assert!(list.windows(2).all(|w| w[0].0 < w[1].0), "key_versions not key-sorted");
+        buf.extend(list);
+    }
+    buf.sort();
+    buf.dedup();
+    buf.chunk_by(|a, b| a.0 == b.0).map(|run| run.len() as u64)
+}
+
 /// Run the simulation to its horizon. With a recorder attached or a
 /// monitor installed, the run is sliced into probe windows (one per
 /// time-series bucket, so probe samples and client-side staleness
 /// samples share bucket boundaries): at each boundary the driver samples
 /// per-key replica divergence (distinct versions across nodes, via
-/// [`simnet::Actor::key_versions`]) and the in-flight message depth, and
+/// [`simnet::Actor::key_versions`]; O(keys × replicas) per bucket, and
+/// only with the recorder on) and the in-flight message depth, and
 /// hands the boundary time to the monitor. Probes only read simulator
 /// state, so a sliced run is event-for-event identical to an unsliced
 /// one.
@@ -506,19 +539,17 @@ fn drive<M: simnet::MsgMeta>(
     let horizon_us = horizon.as_micros();
     let mut t = 0u64;
     let mut events = 0u64;
+    let mut buf = Vec::new();
     while t < horizon_us {
         t = (t + DEFAULT_TS_BUCKET_US).min(horizon_us);
         events += sim.run_until(SimTime::from_micros(t));
         if probing {
-            sim.recorder().sample(t, TsMetric::InflightDepth, sim.inflight_messages());
-            let mut per_key: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>> =
-                std::collections::BTreeMap::new();
-            for (_, key, version) in sim.key_versions() {
-                per_key.entry(key).or_default().insert(version);
-            }
-            for versions in per_key.values() {
-                sim.recorder().sample(t, TsMetric::ReplicaDivergence, versions.len() as u64);
-            }
+            #[cfg(debug_assertions)]
+            DIVERGENCE_PROBES.with(|c| c.set(c.get() + 1));
+            let recorder = sim.recorder();
+            recorder.sample(t, TsMetric::InflightDepth, sim.inflight_messages());
+            let runs = divergence(sim.actor_key_versions(), &mut buf);
+            recorder.sample_all(t, TsMetric::ReplicaDivergence, runs);
         }
         if let Some(m) = monitor.as_deref_mut() {
             m(SimTime::from_micros(t));
@@ -651,5 +682,51 @@ mod tests {
         let writes = res.trace.records().iter().filter(|r| r.kind == OpKind::Write).count();
         assert!(reads > 0 && writes > 0);
         assert_eq!(reads + writes, 60);
+    }
+}
+
+/// The sorted-pass divergence fold against the map-based fold it
+/// replaced.
+#[cfg(test)]
+mod divergence_oracle {
+    use super::*;
+    use proptest::collection::{btree_map, vec};
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    /// The old fold: distinct versions per key, through a map of sets.
+    fn oracle(lists: &[Vec<(u64, u64)>]) -> Vec<u64> {
+        let mut per_key: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+        for &(key, version) in lists.iter().flatten() {
+            per_key.entry(key).or_default().insert(version);
+        }
+        per_key.values().map(|versions| versions.len() as u64).collect()
+    }
+
+    /// `(count, sum, max)`: what one time-series bucket keeps.
+    fn bucket(samples: &[u64]) -> (usize, u64, u64) {
+        (samples.len(), samples.iter().sum(), samples.iter().copied().max().unwrap_or(0))
+    }
+
+    proptest! {
+        /// Per-actor lists are key-sorted store scans; some actors
+        /// (clients) hold nothing, and small version ranges make
+        /// replicas share versions. The scratch buffer is reused dirty
+        /// across calls, as `drive` reuses it across buckets.
+        #[test]
+        fn sorted_fold_matches_the_map_oracle(
+            actors in vec(btree_map(0u64..24, 0u64..4, 0..16), 0..6),
+            stale in vec((0u64..100, 0u64..100), 0..8),
+        ) {
+            let lists: Vec<Vec<(u64, u64)>> =
+                actors.into_iter().map(|m| m.into_iter().collect()).collect();
+            let mut buf = stale;
+            for _ in 0..2 {
+                let got: Vec<u64> = divergence(lists.iter().cloned(), &mut buf).collect();
+                let want = oracle(&lists);
+                prop_assert_eq!(bucket(&got), bucket(&want));
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }

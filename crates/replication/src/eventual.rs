@@ -3,7 +3,10 @@
 //! Every replica accepts reads and writes locally and propagates updates
 //! by eager one-way broadcast ([`EventualConfig::eager`]) and/or periodic
 //! push-pull anti-entropy gossip ([`EventualConfig::gossip`]). Gossip
-//! exchanges per-key digests under LWW and siblings; CRDT counters gossip
+//! exchanges key-sorted per-key digests under LWW and siblings, compared
+//! in one merge-join pass (an LWW store keeps its digest ready-made as a
+//! flat list of each key's latest stamp,
+//! [`crate::kernel::resolution::LwwStore`]); CRDT counters gossip
 //! by delta: each replica keeps per-peer [`Watermarks`] into the peers'
 //! change sequences and ships only what changed after them. This is
 //! the kernel's multi-master replica: storage and merges come from
@@ -208,6 +211,9 @@ struct PendingWrite {
 /// A replica actor.
 pub struct EventualReplica {
     cfg: EventualConfig,
+    /// Versions under the configured resolution policy. Under LWW it
+    /// carries its gossip digest ready-made (each key's latest stamp,
+    /// key-sorted), so a round sends it without walking the versions.
     store: ResolvingStore,
     /// Durable log of adopted LWW versions; replayed on amnesia restart
     /// under [`DurabilityPolicy::WalReplay`].
@@ -421,15 +427,21 @@ impl EventualReplica {
         let fanout = gossip.cfg.fanout.min(all_peers.len());
         ctx.record(EventKind::AntiEntropyRound { node: me.0 as u64, fanout: fanout as u64 });
         let (digest, vv_digest): Digests = self.store.digest();
-        for target in gossip.choose_targets(ctx, &all_peers) {
-            ctx.send(
-                target,
-                Msg::SyncReq {
-                    digest: digest.clone(),
-                    vv_digest: vv_digest.clone(),
-                    since: self.seen.get(target),
-                },
-            );
+        let targets = gossip.choose_targets(ctx, &all_peers);
+        // The last target takes the digests themselves, as in
+        // `handle_put`'s fan-out.
+        if let Some((&last, rest)) = targets.split_last() {
+            for &target in rest {
+                ctx.send(
+                    target,
+                    Msg::SyncReq {
+                        digest: digest.clone(),
+                        vv_digest: vv_digest.clone(),
+                        since: self.seen.get(target),
+                    },
+                );
+            }
+            ctx.send(last, Msg::SyncReq { digest, vv_digest, since: self.seen.get(last) });
         }
         self.peer_cache.restore(all_peers);
     }
@@ -474,11 +486,8 @@ impl Actor<Msg> for EventualReplica {
                         // LWW versions are durable: rebuild store and
                         // clock from the WAL.
                         ConflictMode::Lww => {
-                            self.store = ResolvingStore::Lww(self.dur.replay(
-                                ctx,
-                                None,
-                                Some(&mut self.clock),
-                            ));
+                            let replayed = self.dur.replay(ctx, None, Some(&mut self.clock));
+                            self.store = ResolvingStore::Lww(replayed.into());
                         }
                         // Sibling and counter state is modeled volatile:
                         // the replica restarts empty and anti-entropy
@@ -1085,6 +1094,85 @@ mod tests {
                 r.replica
             );
         }
+    }
+
+    /// A replica that checks, after every callback, that its flat LWW
+    /// digest is exactly its store's latest stamps.
+    struct DigestChecked {
+        replica: EventualReplica,
+        /// Amnesia recoveries that replayed a non-empty WAL.
+        replays: std::rc::Rc<std::cell::Cell<u32>>,
+    }
+
+    impl DigestChecked {
+        fn check(&self) {
+            let scanned: Vec<_> =
+                self.replica.lww_store().unwrap().scan(..).map(|(k, v)| (k, v.ts)).collect();
+            assert_eq!(self.replica.store.digest().0, scanned);
+        }
+    }
+
+    impl Actor<Msg> for DigestChecked {
+        fn on_start(&mut self, ctx: &mut Context<Msg>) {
+            self.replica.on_start(ctx);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<Msg>, id: u64, tag: u64) {
+            self.replica.on_timer(ctx, id, tag);
+            self.check();
+        }
+
+        fn on_recover(&mut self, ctx: &mut Context<Msg>, amnesia: bool) {
+            self.replica.on_recover(ctx, amnesia);
+            if amnesia && !self.replica.lww_store().unwrap().is_empty() {
+                self.replays.set(self.replays.get() + 1);
+            }
+            self.check();
+        }
+
+        fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
+            self.replica.on_message(ctx, from, msg);
+            self.check();
+        }
+    }
+
+    #[test]
+    fn lww_digest_matches_the_store_through_writes_gossip_and_wal_replay() {
+        use simnet::FaultSchedule;
+        let trace = optrace::shared_trace();
+        let cfg = EventualConfig::default_lww(3);
+        let replays = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut sim = Sim::new(
+            SimConfig::default()
+                .seed(11)
+                .latency(LatencyModel::Constant(Duration::from_millis(5)))
+                .faults(FaultSchedule::none().crash_amnesia(
+                    NodeId(0),
+                    SimTime::from_millis(150),
+                    SimTime::from_millis(300),
+                )),
+        );
+        for _ in 0..cfg.replicas {
+            sim.add_node(Box::new(DigestChecked {
+                replica: EventualReplica::new(cfg.clone()),
+                replays: replays.clone(),
+            }));
+        }
+        for session in 1..=3u64 {
+            let ops: Vec<_> = (0..60).map(|i| (OpKind::Write, (i * session) % 7)).collect();
+            sim.add_node(Box::new(EventualClient::new(
+                session,
+                script(&ops),
+                trace.clone(),
+                3,
+                TargetPolicy::Sticky(NodeId(session as u32 - 1)),
+                Guarantees::none(),
+                ConflictMode::Lww,
+            )));
+        }
+        sim.run_until(SimTime::from_secs(2));
+        assert!(trace.borrow().len() > 100, "the sessions ran");
+        assert_eq!(replays.get(), 1, "replica 0 replayed its WAL once");
     }
 
     #[test]

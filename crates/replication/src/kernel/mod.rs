@@ -6,8 +6,8 @@
 //! | layer | question | implementations |
 //! |---|---|---|
 //! | [`durability`] | what survives a crash? | [`DurabilityPolicy`] over [`kvstore::Wal`] |
-//! | [`propagation`] | how do updates travel? | [`PropagationPolicy`]: eager broadcast, quorum fan-out, anti-entropy gossip (digests for LWW and siblings, per-peer [`Watermarks`] deltas for CRDT counters), primary log shipping, consensus log |
-//! | [`resolution`] | how do conflicts resolve? | [`ResolutionPolicy`]: LWW register, version-vector siblings, CRDT merge |
+//! | [`propagation`] | how do updates travel? | [`PropagationPolicy`]: eager broadcast, quorum fan-out, anti-entropy gossip (key-sorted digests for LWW and siblings, merge-joined in one pass; per-peer [`Watermarks`] deltas for CRDT counters), primary log shipping, consensus log |
+//! | [`resolution`] | how do conflicts resolve? | [`ResolutionPolicy`]: LWW register (an [`LwwStore`]: versions plus a flat key-sorted digest of latest stamps), version-vector siblings, CRDT merge |
 //!
 //! The protocol modules (`eventual`, `quorum`, `primary`, `causal`,
 //! `paxos`) are built from these shared layers, and a [`Composition`]
@@ -36,8 +36,8 @@ pub use propagation::{
     peers, AckTracker, Gossip, GossipConfig, PropagationPolicy, ShipMode, Watermarks,
 };
 pub use resolution::{
-    ChangeSeq, ConflictMode, CounterStore, Item, ReadView, ResolutionPolicy, ResolvingStore,
-    WriteEffect,
+    ChangeSeq, ConflictMode, CounterStore, Item, LwwStore, ReadView, ResolutionPolicy,
+    ResolvingStore, WriteEffect,
 };
 pub use ring::Ring;
 

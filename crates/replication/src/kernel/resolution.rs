@@ -12,10 +12,21 @@
 //! resolution-agnostic: LWW and sibling stores compare per-key digests,
 //! counter stores ship the counters changed after the peer's watermark
 //! into their change sequence ([`CounterStore::changed_since`]).
+//!
+//! Digest comparison is one ordered pass. Both sides' digests are
+//! key-sorted, so [`ResolvingStore::missing_at_remote`] merge-joins the
+//! local keys against the remote digest instead of building a map of
+//! it. An [`LwwStore`] keeps its digest ready-made: a flat key-sorted
+//! list of each key's latest stamp beside the [`kvstore::MvStore`],
+//! updated by every adopted version. A digest round still costs
+//! O(keys held): a watermark delta like the counters' would ship
+//! different items, and every shipped LWW item moves the receiver's
+//! Lamport clock.
 
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
 use crdt::PnCounter;
-use kvstore::{siblings::Sibling, Key, MvStore, SiblingStore, Value};
+use kvstore::siblings::{joint_context, Sibling};
+use kvstore::{Key, MvStore, SiblingStore, Value};
 use simnet::NodeId;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -285,11 +296,104 @@ impl CounterStore {
     }
 }
 
+/// An [`MvStore`] plus its anti-entropy digest: each key's latest stamp,
+/// in key order. The digest is exactly `scan(..)`'s stamps, kept up to
+/// date by [`LwwStore::put`], so a gossip round reads it instead of
+/// walking every version chain.
+#[derive(Debug, Default)]
+pub struct LwwStore {
+    store: MvStore,
+    /// `(key, latest stamp)` for every key, ascending by key.
+    latest: Vec<(Key, LamportTimestamp)>,
+}
+
+impl LwwStore {
+    /// The version store.
+    pub fn store(&self) -> &MvStore {
+        &self.store
+    }
+
+    /// Each key's latest stamp, ascending by key.
+    pub fn digest(&self) -> &[(Key, LamportTimestamp)] {
+        &self.latest
+    }
+
+    /// Insert a version (see [`MvStore::put`]); returns whether it was
+    /// new. A new version older than the key's latest leaves the digest
+    /// as it was.
+    pub fn put(&mut self, key: Key, value: Value, ts: LamportTimestamp, written_at: u64) -> bool {
+        if !self.store.put(key, value, ts, written_at) {
+            return false;
+        }
+        match self.latest.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => self.latest[i].1 = self.latest[i].1.max(ts),
+            Err(i) => self.latest.insert(i, (key, ts)),
+        }
+        true
+    }
+
+    /// Items for every key whose latest version is newer here than in
+    /// `remote` (a key-sorted digest), or absent there, in key order.
+    fn newer_than(&self, remote: &[(Key, LamportTimestamp)]) -> Vec<Item> {
+        let mut remote = DigestCursor::new(remote);
+        let mut items = Vec::new();
+        for &(key, ts) in &self.latest {
+            if remote.seek(key).is_none_or(|&theirs| ts > theirs) {
+                let v = self.store.get(key).expect("every digest key is stored");
+                items.push(Item::Lww {
+                    key,
+                    value: v.value.as_u64().unwrap_or(0),
+                    ts: v.ts,
+                    written_at: v.written_at,
+                });
+            }
+        }
+        items
+    }
+}
+
+/// A remote digest walked alongside local keys visited in ascending
+/// order: the merge join that compares two key-sorted digests in one
+/// pass.
+struct DigestCursor<'a, V> {
+    rest: &'a [(Key, V)],
+}
+
+impl<'a, V> DigestCursor<'a, V> {
+    fn new(digest: &'a [(Key, V)]) -> Self {
+        debug_assert!(digest.windows(2).all(|w| w[0].0 < w[1].0), "digest not key-sorted");
+        DigestCursor { rest: digest }
+    }
+
+    /// The remote entry for `key`, skipping the smaller keys before it.
+    /// Keys must be asked for in ascending order.
+    fn seek(&mut self, key: Key) -> Option<&'a V> {
+        while let [(k, _), tail @ ..] = self.rest {
+            if *k >= key {
+                break;
+            }
+            self.rest = tail;
+        }
+        match self.rest {
+            [(k, v), ..] if *k == key => Some(v),
+            _ => None,
+        }
+    }
+}
+
+impl From<MvStore> for LwwStore {
+    /// Wrap a store rebuilt elsewhere (WAL replay), deriving its digest.
+    fn from(store: MvStore) -> Self {
+        let latest = store.scan(..).map(|(k, v)| (k, v.ts)).collect();
+        LwwStore { store, latest }
+    }
+}
+
 /// Replica-side storage with pluggable conflict resolution.
 #[derive(Debug)]
 pub enum ResolvingStore {
     /// Last-writer-wins register per key.
-    Lww(MvStore),
+    Lww(LwwStore),
     /// Dotted-version-vector sibling sets.
     Sib(SiblingStore),
     /// PN-counter per key, merged as a CRDT.
@@ -303,7 +407,7 @@ impl ResolvingStore {
     /// only fixes that id.
     pub fn new(policy: ResolutionPolicy) -> Self {
         match policy {
-            ResolutionPolicy::LwwRegister => ResolvingStore::Lww(MvStore::new()),
+            ResolutionPolicy::LwwRegister => ResolvingStore::Lww(LwwStore::default()),
             ResolutionPolicy::VersionVectorSiblings => {
                 ResolvingStore::Sib(SiblingStore::new(u64::MAX))
             }
@@ -342,7 +446,7 @@ impl ResolvingStore {
     /// Read access to the LWW store (experiments check convergence).
     pub fn lww(&self) -> Option<&MvStore> {
         match self {
-            ResolvingStore::Lww(s) => Some(s),
+            ResolvingStore::Lww(s) => Some(s.store()),
             _ => None,
         }
     }
@@ -377,7 +481,7 @@ impl ResolvingStore {
     /// Serve a local read.
     pub fn read(&self, key: Key) -> ReadView {
         match self {
-            ResolvingStore::Lww(s) => match s.get(key) {
+            ResolvingStore::Lww(s) => match s.store().get(key) {
                 Some(v) => ReadView {
                     values: v.value.as_u64().into_iter().collect(),
                     stamp: Some((v.ts.counter, v.ts.actor)),
@@ -512,12 +616,12 @@ impl ResolvingStore {
         out
     }
 
-    /// This store's anti-entropy digest.
+    /// This store's anti-entropy digest, ascending by key.
     pub fn digest(&self) -> Digests {
         match self {
-            ResolvingStore::Lww(s) => (s.scan(..).map(|(k, v)| (k, v.ts)).collect(), Vec::new()),
+            ResolvingStore::Lww(s) => (s.digest().to_vec(), Vec::new()),
             ResolvingStore::Sib(s) => {
-                (Vec::new(), s.keys().map(|k| (k, s.read(k).context)).collect())
+                (Vec::new(), s.iter().map(|(k, sibs)| (k, joint_context(sibs))).collect())
             }
             // Counters need no digest: the peer sends its watermark into
             // this store's change sequence instead.
@@ -525,10 +629,12 @@ impl ResolvingStore {
         }
     }
 
-    /// Items this store has that the remote lacks: judged by the remote
-    /// digests under LWW and siblings, and under CRDT merge by `since`,
-    /// the remote's watermark into this store's change sequence (the
-    /// other policies ignore it).
+    /// Items this store has that the remote lacks, in key order: judged
+    /// by the remote digests (key-sorted, as [`ResolvingStore::digest`]
+    /// builds them) under LWW and siblings, and under CRDT merge by
+    /// `since`, the remote's watermark into this store's change sequence
+    /// (the other policies ignore it). Digests are merge-joined against
+    /// the local keys in one ordered pass.
     pub fn missing_at_remote(
         &self,
         digest: &[(Key, LamportTimestamp)],
@@ -536,9 +642,37 @@ impl ResolvingStore {
         since: ChangeSeq,
     ) -> Vec<Item> {
         match self {
+            ResolvingStore::Lww(s) => s.newer_than(digest),
+            ResolvingStore::Sib(s) => {
+                let mut remote = DigestCursor::new(vv_digest);
+                let mut items = Vec::new();
+                for (key, sibs) in s.iter() {
+                    let seen = remote.seek(key);
+                    for sib in sibs {
+                        if !seen.is_some_and(|vv| sib.dvv.covered_by(vv)) {
+                            items.push(Item::Sib { key, sibling: sib.clone() });
+                        }
+                    }
+                }
+                items
+            }
+            ResolvingStore::Crdt(c) => c.changed_since(since),
+        }
+    }
+
+    /// The map-based comparison [`ResolvingStore::missing_at_remote`]
+    /// replaced: the oracle its merge-join is tested against.
+    #[cfg(test)]
+    fn missing_at_remote_oracle(
+        &self,
+        digest: &[(Key, LamportTimestamp)],
+        vv_digest: &[(Key, VersionVector)],
+    ) -> Vec<Item> {
+        match self {
             ResolvingStore::Lww(s) => {
                 let remote: BTreeMap<Key, LamportTimestamp> = digest.iter().copied().collect();
-                s.scan(..)
+                s.store()
+                    .scan(..)
                     .filter(|(k, v)| remote.get(k).map(|&ts| v.ts > ts).unwrap_or(true))
                     .map(|(k, v)| Item::Lww {
                         key: k,
@@ -563,7 +697,7 @@ impl ResolvingStore {
                 }
                 items
             }
-            ResolvingStore::Crdt(c) => c.changed_since(since),
+            ResolvingStore::Crdt(_) => unreachable!("counters gossip by watermark"),
         }
     }
 
@@ -573,7 +707,7 @@ impl ResolvingStore {
         match self {
             // Unique write ids identify LWW versions directly.
             ResolvingStore::Lww(s) => {
-                s.scan(..).map(|(k, v)| (k, v.value.as_u64().unwrap_or(0))).collect()
+                s.store().scan(..).map(|(k, v)| (k, v.value.as_u64().unwrap_or(0))).collect()
             }
             // Sibling sets are fingerprinted order-independently (XOR of
             // values + count): replicas holding different sets diverge.
@@ -675,6 +809,45 @@ mod tests {
         assert_eq!(keys(&store.missing_at_remote(&[], &[], mark)), vec![7]);
     }
 
+    fn ts(counter: u64, actor: u64) -> LamportTimestamp {
+        LamportTimestamp::new(counter, actor)
+    }
+
+    /// The flat digest must be exactly the store's latest stamps.
+    fn assert_digest_matches_scan(s: &LwwStore) {
+        let scanned: Vec<_> = s.store().scan(..).map(|(k, v)| (k, v.ts)).collect();
+        assert_eq!(s.digest(), scanned.as_slice());
+    }
+
+    #[test]
+    fn lww_digest_tracks_every_put_and_a_wal_replay() {
+        let mut s = LwwStore::default();
+        let mut wal = kvstore::Wal::new();
+        // New keys out of order, a newer version, an older-than-latest
+        // version, and a duplicate stamp.
+        for (key, stamp) in [(5, ts(2, 0)), (1, ts(1, 1)), (9, ts(4, 2)), (5, ts(6, 1))]
+            .into_iter()
+            .chain([(5, ts(3, 2)), (1, ts(1, 1)), (9, ts(4, 1))])
+        {
+            let v = Value::from_u64(stamp.counter * 10 + stamp.actor);
+            if s.put(key, v.clone(), stamp, 0) {
+                wal.append(key, v, stamp, 0);
+            }
+            assert_digest_matches_scan(&s);
+        }
+        assert_eq!(s.digest(), &[(1, ts(1, 1)), (5, ts(6, 1)), (9, ts(4, 2))]);
+        assert_eq!(s.store().versions(5).len(), 3, "the older version is kept in the chain");
+
+        // Amnesia: the store is rebuilt from the WAL and wrapped again,
+        // then keeps taking writes.
+        let mut replayed = LwwStore::from(wal.recover(None));
+        assert_digest_matches_scan(&replayed);
+        assert_eq!(replayed.digest(), s.digest());
+        assert!(replayed.put(3, Value::from_u64(1), ts(7, 0), 0));
+        assert!(replayed.put(9, Value::from_u64(2), ts(1, 0), 0));
+        assert_digest_matches_scan(&replayed);
+    }
+
     #[test]
     fn lww_write_then_read() {
         let mut store = ResolvingStore::new(ResolutionPolicy::LwwRegister);
@@ -685,5 +858,104 @@ mod tests {
         let view = store.read(3);
         assert_eq!(view.values, vec![42]);
         assert_eq!(view.stamp, Some(out.stamp));
+    }
+}
+
+/// The merge-join digest comparisons against the map-based oracle they
+/// replaced: same items, same order, on random stores and digests.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use proptest::collection::{btree_map, vec};
+    use proptest::prelude::*;
+
+    /// Items compared by their debug form: every field, in order.
+    fn show(items: &[Item]) -> Vec<String> {
+        items.iter().map(|i| format!("{i:?}")).collect()
+    }
+
+    fn stamp() -> impl Strategy<Value = LamportTimestamp> {
+        (1u64..6, 0u64..3).prop_map(|(c, a)| LamportTimestamp::new(c, a))
+    }
+
+    /// A sibling-mode context over a few actors.
+    fn context() -> impl Strategy<Value = VersionVector> {
+        vec((0u64..3, 0u64..5), 0..3).prop_map(VersionVector::from_pairs)
+    }
+
+    proptest! {
+        /// Small key and stamp ranges give absent keys, equal stamps,
+        /// older-than-latest puts and remote-only keys; empty stores and
+        /// digests come up too. `copy` seeds the remote with some of the
+        /// local digest, so equal latest stamps are common.
+        #[test]
+        fn lww_merge_join_matches_the_map_oracle(
+            puts in vec((0u64..12, stamp(), 0u64..100), 0..40),
+            remote in btree_map(0u64..16, stamp(), 0..12),
+            copy in vec(any::<bool>(), 12),
+        ) {
+            let mut store = ResolvingStore::new(ResolutionPolicy::LwwRegister);
+            let mut clock = LamportClock::new();
+            let items = puts
+                .iter()
+                .map(|&(key, ts, value)| Item::Lww { key, value, ts, written_at: value })
+                .collect();
+            store.apply(items, &mut clock);
+            let mut remote = remote;
+            let (local, _) = store.digest();
+            for (&(key, ts), _) in local.iter().zip(&copy).filter(|(_, &c)| c) {
+                remote.insert(key, ts);
+            }
+            let remote: Vec<_> = remote.into_iter().collect();
+            prop_assert_eq!(
+                show(&store.missing_at_remote(&remote, &[], 0)),
+                show(&store.missing_at_remote_oracle(&remote, &[]))
+            );
+        }
+
+        /// Three replicas write (blind or with their read context) and
+        /// exchange siblings; replica 0's missing items are compared
+        /// against replica 1's real digest and against a random one.
+        #[test]
+        fn sibling_merge_join_matches_the_map_oracle(
+            ops in vec((0usize..3, 0u64..6, any::<bool>(), 0usize..3), 0..30),
+            random in btree_map(0u64..8, context(), 0..6),
+        ) {
+            let mut stores: Vec<SiblingStore> = (0..3).map(SiblingStore::new).collect();
+            for (i, &(at, key, read_first, copy_to)) in ops.iter().enumerate() {
+                let ctx = if read_first {
+                    stores[at].read(key).context
+                } else {
+                    VersionVector::new()
+                };
+                stores[at].write(key, Value::from_u64(i as u64), &ctx, 0);
+                if copy_to != at {
+                    let sib = stores[at].siblings(key).last().expect("just wrote").clone();
+                    stores[copy_to].apply_remote(key, sib);
+                }
+            }
+            let mut stores = stores.into_iter().map(ResolvingStore::Sib);
+            let (local, peer) = (stores.next().unwrap(), stores.next().unwrap());
+            let (_, peer_digest) = peer.digest();
+            let random: Vec<_> = random.into_iter().collect();
+            for remote in [peer_digest, random, Vec::new()] {
+                prop_assert_eq!(
+                    show(&local.missing_at_remote(&[], &remote, 0)),
+                    show(&local.missing_at_remote_oracle(&[], &remote))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sibling_digest_is_the_read_context() {
+        let mut s = SiblingStore::new(1);
+        s.write(4, Value::from_u64(1), &VersionVector::new(), 0);
+        s.write(4, Value::from_u64(2), &VersionVector::new(), 0);
+        let ctx = s.read(4).context;
+        s.write(2, Value::from_u64(3), &ctx, 0);
+        let expected: Vec<_> = s.keys().map(|k| (k, s.read(k).context)).collect();
+        let (_, digest) = ResolvingStore::Sib(s).digest();
+        assert_eq!(digest, expected);
     }
 }

@@ -543,12 +543,17 @@ impl<M> Sim<M> {
     /// replica-divergence samples.
     pub fn key_versions(&self) -> Vec<(NodeId, u64, u64)> {
         let mut out = Vec::new();
-        for (i, actor) in self.actors.iter().enumerate() {
-            for (key, version) in actor.key_versions() {
+        for (i, versions) in self.actor_key_versions().enumerate() {
+            for (key, version) in versions {
                 out.push((NodeId(i as u32), key, version));
             }
         }
         out
+    }
+
+    /// Each actor's [`Actor::key_versions`] list, in node order.
+    pub fn actor_key_versions(&self) -> impl Iterator<Item = Vec<(u64, u64)>> + '_ {
+        self.actors.iter().map(|actor| actor.key_versions())
     }
 
     /// Borrow an actor (e.g. to read results after the run).

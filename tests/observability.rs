@@ -9,7 +9,8 @@
 //!    messages_dropped`; likewise every span opens and closes exactly
 //!    once (`abandoned` closes mark spans the run cut short).
 //! 3. **Free when off** — with the recorder disabled, the per-read
-//!    staleness telemetry and the `OpComplete` event are never computed
+//!    staleness telemetry, the `OpComplete` event and `drive`'s
+//!    per-bucket replica-divergence probe are never computed
 //!    (debug-build call counters).
 //!
 //! Plus the doc-sync guards: the counter and time-series tables in
@@ -223,6 +224,43 @@ fn read_telemetry_is_free_when_the_recorder_is_off() {
     assert!(ok_reads > 0);
     assert_eq!(staleness, ok_reads as u64, "one staleness computation per ok read");
     assert_eq!(events, result.trace.len() as u64, "one OpComplete per trace row");
+}
+
+/// Run the fault-free quorum workload under `recorder`, plainly or
+/// with a live monitor, and return how many replica-divergence probes
+/// `drive` ran.
+#[cfg(debug_assertions)]
+fn divergence_probes_run(recorder: Recorder, monitored: bool) -> u64 {
+    use rethinking_ec::core::divergence_probes;
+    let exp = Experiment::new(Scheme::quorum(3, 2, 2))
+        .workload(workload())
+        .seed(5)
+        .horizon(SimTime::from_secs(30))
+        .recorder(recorder);
+    let before = divergence_probes();
+    let result = if monitored { exp.run_monitored(&mut |_, _| {}) } else { exp.run() };
+    assert!(result.trace.len() > 100, "the workload ran");
+    divergence_probes() - before
+}
+
+#[cfg(debug_assertions)]
+#[test]
+fn divergence_probe_is_free_when_the_recorder_is_off() {
+    assert_eq!(divergence_probes_run(Recorder::disabled(), false), 0, "probed without a recorder");
+    assert_eq!(
+        divergence_probes_run(Recorder::disabled(), true),
+        0,
+        "a monitor alone slices the run but must not probe"
+    );
+    let buckets =
+        SimTime::from_secs(30).as_micros().div_ceil(rethinking_ec::obs::DEFAULT_TS_BUCKET_US);
+    for monitored in [false, true] {
+        assert_eq!(
+            divergence_probes_run(Recorder::enabled(), monitored),
+            buckets,
+            "one probe per time-series bucket (monitored: {monitored})"
+        );
+    }
 }
 
 /// Extract the names from the markdown table rows (`| \`name\` | ...`)
